@@ -14,8 +14,8 @@
 use crate::client::Client;
 use crate::msg::DropletMsg;
 use crate::persist::PersistNode;
-use crate::sieve_spec::SieveSpec;
-use crate::soft::{MultiPutStatus, PutStatus, SoftNode};
+use crate::sieve_spec::PlacementView;
+use crate::soft::{ExtremaTable, MultiPutStatus, PutStatus, SoftNode};
 use crate::tuple::{Key, StoredTuple};
 use dd_dht::Version;
 use dd_epidemic::required_fanout;
@@ -23,6 +23,7 @@ use dd_sim::rng::mix;
 use dd_sim::{Ctx, Duration, NodeId, Process, Sim, SimConfig, TimerTag};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Result of a completed write.
 pub type PutResult = PutStatus;
@@ -432,26 +433,15 @@ impl Cluster {
         let persist_ids: Vec<NodeId> =
             (config.soft_n..config.soft_n + config.persist_n).map(NodeId).collect();
         let fanout = config.fanout.unwrap_or_else(|| required_fanout(config.persist_n, 0.999));
-        // Sieve acceptance is deterministic from the spec, so the
-        // coordinators can hold every persist node's sieve (index-parallel
-        // to `persist_ids`) and route writes directly to their owners.
-        let sieves: Vec<SieveSpec> = persist_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| match config.placement {
-                Placement::RangePartition => {
-                    SieveSpec::default_for(i as u64, config.persist_n, config.replication)
-                }
-                Placement::Uniform => {
-                    SieveSpec::Uniform { salt: id.0, r: config.replication, n: config.persist_n }
-                }
-                Placement::TagCollocation => SieveSpec::Tag {
-                    slot: i as u64,
-                    slots: config.persist_n,
-                    r: config.replication,
-                },
-            })
-            .collect();
+        // Persist node `persist_ids[i]` runs the view's sieve `i`. Sieve
+        // acceptance is a pure function of the key and the placement, so
+        // the coordinators share this one view and route writes (and
+        // tag-scoped reads) directly to their owners.
+        let placement = PlacementView::new(config.placement, config.persist_n, config.replication);
+        // No pinned fanout: the epidemic fallback tracks the failure
+        // detector's live-set estimate instead of the boot-time
+        // `persist_n`, merged from per-peer vectors drawn once here.
+        let extrema = config.fanout.is_none().then(|| Arc::new(ExtremaTable::new(&persist_ids)));
         // Pre-size the event heap for the population's steady chatter
         // (start events, repair timers, dissemination bursts) so large
         // clusters don't regrow it through the opening storm.
@@ -461,24 +451,17 @@ impl Cluster {
         for &id in &soft_ids {
             let mut soft =
                 SoftNode::new(&soft_ids, persist_ids.clone(), fanout, config.cache_capacity)
-                    .with_persist_sieves(sieves.clone());
-            if config.fanout.is_none() {
-                // No pinned fanout: let the epidemic fallback track the
-                // failure detector's live-set estimate instead of the
-                // boot-time `persist_n`.
-                soft = soft.with_adaptive_fanout();
-            }
-            if config.placement == Placement::TagCollocation {
-                // Slot s is run by persist_ids[s]; the soft node's peer
-                // list is in that order, so routed slots map directly.
-                soft = soft.with_tag_routing(config.persist_n, config.replication);
+                    .with_placement(placement);
+            if let Some(table) = &extrema {
+                soft = soft.with_adaptive_fanout(Arc::clone(table));
             }
             sim.add_node(id, DropletNode::Soft(soft));
         }
-        for (i, (&id, sieve)) in persist_ids.iter().zip(&sieves).enumerate() {
+        for (i, &id) in persist_ids.iter().enumerate() {
             let peers: Vec<NodeId> = persist_ids.iter().copied().filter(|&p| p != id).collect();
+            let sieve = placement.spec(i as u64, id);
             let mut node =
-                PersistNode::new(sieve.clone(), fanout, peers, config.repair_period.map(Duration));
+                PersistNode::new(sieve, fanout, peers, config.repair_period.map(Duration));
             if config.ring_repair && config.persist_n > 1 {
                 // Ring adjacency follows persist_ids order — the same
                 // order slot ownership and range segments use, so

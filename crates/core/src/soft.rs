@@ -2,16 +2,16 @@
 //! metadata and read/write coordination (§II of the paper).
 
 use crate::msg::DropletMsg;
-use crate::sieve_spec::SieveSpec;
+use crate::sieve_spec::PlacementView;
 use crate::tuple::{Key, StoredTuple, TupleSpec};
 use dd_dht::{HashRing, Metadata, TupleCache, Version, VersionAuthority};
 use dd_epidemic::required_fanout;
 use dd_estimation::ExtremaEstimator;
-use dd_sieve::TagSieve;
 use dd_sim::rng::stream_rng;
 use dd_sim::{Ctx, Duration, NodeId, Time, TimerTag, TraceCtx};
 use rand::seq::SliceRandom;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Timer tag for the multi-op deadline sweep.
 pub const MULTI_OP_TIMER: TimerTag = TimerTag(0x4D47);
@@ -38,11 +38,34 @@ pub const UNDELIVERED_RETENTION: usize = 4096;
 /// fanout (relative error ≈ 1/√(K−2) ≈ 13 %).
 const EXTREMA_K: usize = 64;
 
-/// Master seed for the per-peer extrema vectors. Every soft node derives
+/// Master seed for the per-peer extrema vectors. Every soft node uses
 /// the same vector for a given persist peer — modelling the vector that
 /// peer generated at join time and gossiped — so merged estimates agree
 /// across coordinators with the same reachability view.
 const EXTREMA_SALT: u64 = 0xEC7A_11E5_71AA_7E0F;
+
+/// Every persist peer's join-time extrema vector. A vector depends only
+/// on the peer id, so a cluster draws the table once and its soft nodes
+/// share it, merging the reachable peers' rows on every reachability
+/// change instead of redrawing them.
+#[derive(Debug)]
+pub struct ExtremaTable {
+    rows: Vec<(NodeId, ExtremaEstimator)>,
+}
+
+impl ExtremaTable {
+    /// Draws the vector of every peer in `persist_peers`.
+    #[must_use]
+    pub fn new(persist_peers: &[NodeId]) -> Self {
+        let rows = persist_peers
+            .iter()
+            .map(|&p| {
+                (p, ExtremaEstimator::generate(&mut stream_rng(EXTREMA_SALT, p.0), EXTREMA_K))
+            })
+            .collect();
+        ExtremaTable { rows }
+    }
+}
 
 /// Completion records a soft node retains per operation kind. Harvested
 /// completions are retired immediately; this cap bounds what *abandoned*
@@ -150,17 +173,6 @@ pub struct MultiPutStatus {
     pub versions: Vec<(u64, Version)>,
 }
 
-/// Tag placement parameters mirrored into the soft layer so coordinators
-/// can route a tag-scoped read to the tag's `r` slot-owners directly
-/// (the slot order matches the persist-peer order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TagRouting {
-    /// Number of tag slots (the persist population size).
-    pub slots: u64,
-    /// Tag replication degree.
-    pub r: u32,
-}
-
 /// A pending single read: which replicas we are waiting on, which were
 /// unreachable when the fetch went out (re-fetched on
 /// [`DropletMsg::PeerUp`] — a read must never conclude "not found" while
@@ -232,24 +244,25 @@ pub struct SoftNode {
     pub cache: TupleCache<StoredTuple>,
     /// All persistent-layer node ids.
     pub persist_peers: Vec<NodeId>,
-    /// The sieve each persist peer runs, parallel to `persist_peers`.
-    /// Sieve acceptance is deterministic, so a coordinator that knows the
-    /// sieves can deliver a write *directly* to the nodes that will store
-    /// it (batched [`DropletMsg::DeliverBatch`]) instead of broadcasting
-    /// it epidemically. Empty = fall back to epidemic dissemination.
-    pub persist_sieves: Vec<SieveSpec>,
+    /// The persistent layer's placement: `persist_peers[i]` runs the
+    /// view's sieve `i`. Sieve acceptance is a pure function of the key
+    /// hash and the placement, so the coordinator names a write's owners
+    /// arithmetically and delivers it *directly* to them (batched
+    /// [`DropletMsg::DeliverBatch`]) instead of broadcasting it
+    /// epidemically, and routes a tag-scoped read to the tag's slot
+    /// owners. `None` = epidemic dissemination, and tag-scoped reads ask
+    /// every persist peer.
+    placement: Option<PlacementView>,
     /// Dissemination fanout used when originating writes (the epidemic
     /// fallback path).
     pub fanout: u32,
     /// When set, `fanout` follows the extrema-propagation size estimate
-    /// of the currently reachable persist population instead of the
-    /// static value computed at construction.
-    pub adaptive_fanout: bool,
+    /// of the currently reachable persist population, merged from this
+    /// shared table, instead of the static value computed at
+    /// construction.
+    extrema: Option<Arc<ExtremaTable>>,
     /// Fallback fetch width when no location hints exist.
     pub fallback_fetches: usize,
-    /// Tag placement parameters when the persistent layer runs tag
-    /// sieves; `None` means tag-scoped reads fan out epidemically.
-    pub tag_routing: Option<TagRouting>,
 
     /// Completed writes: req → (status, key hash). Harvested through
     /// [`SoftNode::take_put`] by client sessions, retired on harvest.
@@ -323,11 +336,10 @@ impl SoftNode {
             metadata: Metadata::new(8),
             cache: TupleCache::new(cache_capacity),
             persist_peers,
-            persist_sieves: Vec::new(),
+            placement: None,
             fanout,
-            adaptive_fanout: false,
+            extrema: None,
             fallback_fetches: 5,
-            tag_routing: None,
             completed_puts: CompletionLog::new(COMPLETION_RETENTION),
             completed_gets: CompletionLog::new(COMPLETION_RETENTION),
             completed_scans: CompletionLog::new(COMPLETION_RETENTION),
@@ -352,32 +364,30 @@ impl SoftNode {
         }
     }
 
-    /// Builder: enables tag-aware routing for tag-scoped reads. `slots`
-    /// and `r` must match the persistent layer's tag-sieve parameters,
-    /// and `persist_peers[s]` must be the node running slot `s`.
-    #[must_use]
-    pub fn with_tag_routing(mut self, slots: u64, r: u32) -> Self {
-        self.tag_routing = Some(TagRouting { slots, r });
-        self
-    }
-
-    /// Builder: gives the coordinator the persist layer's sieve map so
-    /// writes go directly (and batched) to the nodes that will keep them.
+    /// Builder: gives the coordinator the persistent layer's placement
+    /// (`persist_peers[i]` runs `placement.spec(i, ..)`), so writes go
+    /// directly (and batched) to the nodes that will keep them and
+    /// tag-scoped reads to the tag's slot owners.
     ///
     /// # Panics
-    /// Panics when `sieves` is not parallel to `persist_peers`.
+    /// Panics when the view's population is not `persist_peers.len()`.
     #[must_use]
-    pub fn with_persist_sieves(mut self, sieves: Vec<SieveSpec>) -> Self {
-        assert_eq!(sieves.len(), self.persist_peers.len(), "one sieve per persist peer");
-        self.persist_sieves = sieves;
+    pub fn with_placement(mut self, placement: PlacementView) -> Self {
+        assert_eq!(
+            placement.population(),
+            self.persist_peers.len() as u64,
+            "one sieve per persist peer"
+        );
+        self.placement = Some(placement);
         self
     }
 
     /// Builder: ties the epidemic-fallback fanout to the dd-estimation
-    /// size estimate of the reachable persist population.
+    /// size estimate of the reachable persist population, merged from
+    /// `table` (built over the same persist population).
     #[must_use]
-    pub fn with_adaptive_fanout(mut self) -> Self {
-        self.adaptive_fanout = true;
+    pub fn with_adaptive_fanout(mut self, table: Arc<ExtremaTable>) -> Self {
+        self.extrema = Some(table);
         self.refresh_fanout();
         self
     }
@@ -401,20 +411,17 @@ impl SoftNode {
     /// failure detector decides which vectors to merge, and the estimate
     /// `(K−1)/Σ minima` replaces the static population count.
     fn refresh_fanout(&mut self) {
-        if !self.adaptive_fanout {
-            return;
-        }
+        let Some(table) = &self.extrema else { return };
         let mut merged: Option<ExtremaEstimator> = None;
-        for &p in &self.persist_peers {
-            if !self.reachable.contains(&p) {
+        for (p, vector) in &table.rows {
+            if !self.reachable.contains(p) {
                 continue;
             }
-            let vector = ExtremaEstimator::generate(&mut stream_rng(EXTREMA_SALT, p.0), EXTREMA_K);
             match merged.as_mut() {
                 Some(m) => {
-                    m.merge(&vector);
+                    m.merge(vector);
                 }
-                None => merged = Some(vector),
+                None => merged = Some(vector.clone()),
             }
         }
         let estimate = merged.map_or(1.0, |m| m.estimate());
@@ -545,19 +552,15 @@ impl SoftNode {
         self.coordinator_of(key_hash) == Some(me)
     }
 
-    /// The persist nodes whose sieves will keep `tuple`. Tombstones are
-    /// wanted everywhere (see `PersistNode::wants`).
-    fn owners_of(&self, tuple: &StoredTuple) -> Vec<NodeId> {
+    /// The persist nodes whose sieves will keep `tuple` under
+    /// `placement`, in ascending persist order (the send order, which
+    /// replay depends on). Tombstones are wanted everywhere (see
+    /// `PersistNode::wants`).
+    fn owners_of(&self, placement: &PlacementView, tuple: &StoredTuple) -> Vec<NodeId> {
         if tuple.deleted {
             return self.persist_peers.clone();
         }
-        let meta = tuple.item_meta();
-        self.persist_peers
-            .iter()
-            .zip(&self.persist_sieves)
-            .filter(|(_, sieve)| sieve.accepts(&meta))
-            .map(|(&p, _)| p)
-            .collect()
+        placement.owners(&tuple.item_meta(), &self.persist_peers)
     }
 
     /// Remembers a write until every owner has confirmed storage, so a
@@ -645,7 +648,7 @@ impl SoftNode {
         tuple: StoredTuple,
         trace: Option<TraceCtx>,
     ) {
-        if self.persist_sieves.is_empty() {
+        let Some(placement) = self.placement else {
             // Epidemic fallback: blind fanout into the persist layer,
             // relayed infect-and-die by the receivers.
             let me = ctx.id();
@@ -665,11 +668,11 @@ impl SoftNode {
                 );
             }
             return;
-        }
+        };
         // Sieve-routed direct delivery: acceptance is deterministic, so
         // sending only to the owners stores exactly the set a full
         // broadcast would, at ~replication-degree messages per tuple.
-        let owners = self.owners_of(&tuple);
+        let owners = self.owners_of(&placement, &tuple);
         self.track_undelivered(&tuple, &owners);
         for owner in owners {
             if self.reachable.contains(&owner) {
@@ -1055,11 +1058,8 @@ impl SoftNode {
     /// The persist nodes a tag-scoped read must contact: the tag's `r`
     /// slot-owners under tag placement, every persist peer otherwise.
     fn tag_read_targets(&self, tag_hash: u64) -> Vec<NodeId> {
-        match self.tag_routing {
-            Some(rt) => TagSieve::tag_slots(tag_hash, rt.slots, rt.r)
-                .into_iter()
-                .filter_map(|slot| self.persist_peers.get(slot as usize).copied())
-                .collect(),
+        match self.placement {
+            Some(placement) => placement.tag_targets(tag_hash, &self.persist_peers),
             None => self.persist_peers.clone(),
         }
     }
@@ -1324,12 +1324,17 @@ impl SoftNode {
                     }
                 }
             }
+            // A soft peer's reachability cannot move the persist estimate.
             DropletMsg::PeerDown(peer) if self.reachable.remove(&peer) => {
-                self.refresh_fanout();
+                if self.persist_peers.contains(&peer) {
+                    self.refresh_fanout();
+                }
                 self.strike_peer(ctx, peer);
             }
             DropletMsg::PeerUp(peer) if self.reachable.insert(peer) => {
-                self.refresh_fanout();
+                if self.persist_peers.contains(&peer) {
+                    self.refresh_fanout();
+                }
                 self.peer_restored(ctx, peer);
             }
             DropletMsg::ScanReply { req, items } => {
@@ -1465,6 +1470,92 @@ mod tests {
                 assert_eq!(n.coordinator_of(k), c0);
             }
         }
+    }
+
+    /// The O(r) owner lookup names exactly the persist peers that a scan
+    /// of every peer's concrete sieve accepts, element for element and in
+    /// ascending persist order (the send order replay depends on).
+    #[test]
+    fn owner_lookup_equals_the_linear_sieve_scan() {
+        use crate::cluster::Placement;
+        use dd_sieve::{RangeSieve, Sieve, TagSieve, UniformSieve};
+        let members = [NodeId(0)];
+        for placement in [Placement::RangePartition, Placement::Uniform, Placement::TagCollocation]
+        {
+            for n in [1u64, 2, 7, 40] {
+                let peers: Vec<NodeId> = (0..n).map(|i| NodeId(100 + i)).collect();
+                for r in [1u32, 2, 3, 5, 41] {
+                    let view = PlacementView::new(placement, n, r);
+                    let node = SoftNode::new(&members, peers.clone(), 4, 16).with_placement(view);
+                    let sieves: Vec<Box<dyn Sieve>> = (0..n)
+                        .map(|i| -> Box<dyn Sieve> {
+                            match placement {
+                                Placement::RangePartition => {
+                                    Box::new(RangeSieve::partition(i, n, r))
+                                }
+                                Placement::Uniform => {
+                                    Box::new(UniformSieve::replication(peers[i as usize].0, r, n))
+                                }
+                                Placement::TagCollocation => Box::new(TagSieve::new(i, n, r)),
+                            }
+                        })
+                        .collect();
+                    for k in 0..300u32 {
+                        let tag = (k % 2 == 0).then(|| format!("feed:{}", k % 17));
+                        let key = Key::new(format!("key:{k}"));
+                        let tuple = StoredTuple::new(key, Version(1), vec![], None, tag.as_deref());
+                        let meta = tuple.item_meta();
+                        let scanned: Vec<NodeId> = peers
+                            .iter()
+                            .zip(&sieves)
+                            .filter(|(_, s)| s.accepts(&meta))
+                            .map(|(&p, _)| p)
+                            .collect();
+                        let owners = node.owners_of(&view, &tuple);
+                        assert_eq!(owners, scanned, "{placement:?} n {n} r {r} tuple {k}");
+                    }
+                    let tombstone = StoredTuple::tombstone(Key::new("gone"), Version(2));
+                    assert_eq!(
+                        node.owners_of(&view, &tombstone),
+                        peers,
+                        "tombstones go everywhere"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Merging the shared table gives the fanout that redrawing every
+    /// reachable peer's vector gave, at every reachable population.
+    #[test]
+    fn shared_extrema_table_matches_fresh_draws() {
+        let fresh = |reachable: &[NodeId]| {
+            let mut merged: Option<ExtremaEstimator> = None;
+            for p in reachable {
+                let v = ExtremaEstimator::generate(&mut stream_rng(EXTREMA_SALT, p.0), EXTREMA_K);
+                match merged.as_mut() {
+                    Some(m) => {
+                        m.merge(&v);
+                    }
+                    None => merged = Some(v),
+                }
+            }
+            let n = merged.map_or(1.0, |m| m.estimate()).max(1.0).round() as u64;
+            required_fanout(n, 0.999)
+        };
+        let peers: Vec<NodeId> = (10..70).map(NodeId).collect();
+        let table = Arc::new(ExtremaTable::new(&peers));
+        let mut node =
+            SoftNode::new(&[NodeId(0)], peers.clone(), 4, 16).with_adaptive_fanout(table);
+        assert_eq!(node.fanout, fresh(&peers));
+        let mut seen = HashSet::new();
+        for k in 0..peers.len() {
+            node.reachable.remove(&peers[k]);
+            node.refresh_fanout();
+            assert_eq!(node.fanout, fresh(&peers[k + 1..]), "{} reachable", peers.len() - k - 1);
+            seen.insert(node.fanout);
+        }
+        assert!(seen.len() > 2, "the fanout moved with the population: {seen:?}");
     }
 
     #[test]

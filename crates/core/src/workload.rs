@@ -121,6 +121,10 @@ pub struct Workload {
     recent: Vec<String>,
     /// Next ring slot to overwrite once `recent` is full.
     recent_cursor: usize,
+    /// The `ZipfKeys` distribution, whose O(keys) CDF is built on the
+    /// first draw and reused (built lazily so an invalid kind still fails
+    /// only when it generates).
+    zipf: Option<Zipf>,
 }
 
 impl Workload {
@@ -133,7 +137,14 @@ impl Workload {
             counter: 0,
             recent: Vec::new(),
             recent_cursor: 0,
+            zipf: None,
         }
+    }
+
+    /// One Zipf-popular key index.
+    fn zipf_key(&mut self, keys: u64, exponent: f64) -> u64 {
+        let dist = self.zipf.get_or_insert_with(|| Zipf::new(keys, exponent).expect("valid zipf"));
+        dist.sample(&mut self.rng) as u64
     }
 
     fn remember(&mut self, key: &str) {
@@ -175,8 +186,7 @@ impl Workload {
                 }
             }
             WorkloadKind::ZipfKeys { keys, exponent } => {
-                let dist = Zipf::new(keys, exponent).expect("valid zipf");
-                let k = dist.sample(&mut self.rng) as u64;
+                let k = self.zipf_key(keys, exponent);
                 PutOp {
                     key: format!("key:{k}"),
                     value: i.to_le_bytes().to_vec(),
@@ -241,8 +251,7 @@ impl Workload {
                 format!("key:{}", self.rng.gen_range(1..=upper))
             }
             WorkloadKind::ZipfKeys { keys, exponent } => {
-                let dist = Zipf::new(keys, exponent).expect("valid zipf");
-                format!("key:{}", dist.sample(&mut self.rng) as u64)
+                format!("key:{}", self.zipf_key(keys, exponent))
             }
             WorkloadKind::SocialFeed { .. } => {
                 if self.recent.is_empty() {
@@ -327,6 +336,18 @@ mod tests {
         }
         let max = counts.values().max().copied().unwrap_or(0);
         assert!(max > 500, "hottest key should dominate, got {max}");
+    }
+
+    #[test]
+    fn cached_zipf_draws_match_a_fresh_distribution_per_draw() {
+        let (keys, exponent) = (50, 0.9);
+        let mut w = Workload::new(WorkloadKind::ZipfKeys { keys, exponent }, 8);
+        let mut rng = SmallRng::seed_from_u64(8);
+        for i in 0..200 {
+            let fresh = Zipf::new(keys, exponent).expect("valid zipf").sample(&mut rng) as u64;
+            let key = if i % 3 == 0 { w.next_read_key() } else { w.next_put().key };
+            assert_eq!(key, format!("key:{fresh}"), "draw {i}");
+        }
     }
 
     #[test]

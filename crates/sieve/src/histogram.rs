@@ -14,7 +14,7 @@
 //! coarse where it is low, exactly the paper's prescription. E8 compares
 //! its load balance against attribute-range sieves with uniform edges.
 
-use crate::{ItemMeta, Sieve, UniformSieve};
+use crate::{ItemMeta, Sieve, UniformSieve, Window};
 use dd_sim::rng::mix;
 
 /// Sieve accepting items whose attribute falls into one of this node's
@@ -43,17 +43,30 @@ impl HistogramSieve {
     /// `index >= B`, or `r == 0`.
     #[must_use]
     pub fn new(edges: Vec<f64>, index: usize, r: u32) -> Self {
-        assert!(!edges.is_empty(), "need at least one bucket edge");
-        assert!(edges.iter().all(|e| e.is_finite()), "edges must be finite");
-        assert!(edges.windows(2).all(|w| w[0] <= w[1]), "edges must be sorted ascending");
-        let b = edges.len() + 1;
-        assert!(index < b, "bucket index out of range");
-        assert!(r > 0, "replication degree must be positive");
+        let b = check(&edges, index, r);
         let buckets: Vec<usize> = (0..usize::try_from(r).expect("r fits usize").min(b))
             .map(|k| (index + k) % b)
             .collect();
-        let fallback = UniformSieve::replication(index as u64 ^ 0x41B0, r, b as u64);
-        HistogramSieve { edges, buckets, fallback }
+        HistogramSieve { edges, buckets, fallback: fallback(index, r, b) }
+    }
+
+    /// Closed form of `HistogramSieve::new(edges.to_vec(), index, r)
+    /// .accepts(item)` over borrowed edges: the item's bucket must lie in
+    /// the window of `min(r, B)` buckets starting at `index`. Validates
+    /// the edges like [`HistogramSieve::new`] but allocates nothing.
+    ///
+    /// # Panics
+    /// Panics where [`HistogramSieve::new`] does.
+    #[must_use]
+    pub fn accepts_in(edges: &[f64], index: usize, r: u32, item: &ItemMeta) -> bool {
+        let b = check(edges, index, r);
+        match item.attr {
+            Some(a) => {
+                let bucket = edges.partition_point(|&e| e <= a);
+                Window::new(index as u64, b as u64, r).contains(bucket as u64)
+            }
+            None => fallback(index, r, b).accepts(item),
+        }
     }
 
     /// Number of buckets `B`.
@@ -73,6 +86,22 @@ impl HistogramSieve {
     pub fn bucket_of(&self, attr: f64) -> usize {
         self.edges.partition_point(|&e| e <= attr)
     }
+}
+
+/// Validates a histogram sieve's parameters; returns the bucket count.
+fn check(edges: &[f64], index: usize, r: u32) -> usize {
+    assert!(!edges.is_empty(), "need at least one bucket edge");
+    assert!(edges.iter().all(|e| e.is_finite()), "edges must be finite");
+    assert!(edges.windows(2).all(|w| w[0] <= w[1]), "edges must be sorted ascending");
+    let b = edges.len() + 1;
+    assert!(index < b, "bucket index out of range");
+    assert!(r > 0, "replication degree must be positive");
+    b
+}
+
+/// The `r/B` uniform fallback for attribute-less items.
+fn fallback(index: usize, r: u32, b: usize) -> UniformSieve {
+    UniformSieve::replication(index as u64 ^ 0x41B0, r, b as u64)
 }
 
 impl Sieve for HistogramSieve {

@@ -23,6 +23,10 @@
 //!   sieves located near the mean ± standard deviation need to be much
 //!   finer than sieves outside that region".
 //!
+//! [`Window`] is the successor-window arithmetic the range, tag and
+//! histogram sieves share: it evaluates them in closed form, without
+//! building a sieve instance.
+//!
 //! [`coverage`] provides the checker for the correctness requirement (full
 //! key-space coverage ⇒ no data loss).
 
@@ -36,6 +40,7 @@ pub mod item;
 pub mod range;
 pub mod tag;
 pub mod uniform;
+pub mod window;
 
 pub use capacity::CapacitySieve;
 pub use coverage::{check_coverage, CoverageReport};
@@ -44,6 +49,7 @@ pub use item::ItemMeta;
 pub use range::RangeSieve;
 pub use tag::TagSieve;
 pub use uniform::UniformSieve;
+pub use window::Window;
 
 /// A local storage-decision function (the paper's "sieve").
 ///

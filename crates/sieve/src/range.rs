@@ -5,9 +5,10 @@
 //! space."* A [`RangeSieve`] accepts keys whose hash falls in one of its
 //! half-open ranges; [`RangeSieve::partition`] builds the canonical
 //! `r`-fold successor-replicated partition used by E3 and by the structured
-//! baseline.
+//! baseline, and [`RangeSieve::partition_contains`] /
+//! [`RangeSieve::partition_owners`] evaluate that partition in closed form.
 
-use crate::{ItemMeta, Sieve};
+use crate::{ItemMeta, Sieve, Window};
 use dd_sim::rng::{fnv1a, mix};
 
 /// A sieve accepting hashed keys inside a set of half-open ranges
@@ -49,9 +50,7 @@ impl RangeSieve {
     /// Panics if `n == 0`, `r == 0` or `index >= n`.
     #[must_use]
     pub fn partition(index: u64, n: u64, r: u32) -> Self {
-        assert!(n > 0, "population must be positive");
-        assert!(r > 0, "replication degree must be positive");
-        assert!(index < n, "node index out of range");
+        check_partition(index, n, r);
         let seg = u64::MAX / n; // segment width (last segment absorbs slack)
         let r = u64::from(r).min(n);
         let mut ranges = Vec::with_capacity(r as usize);
@@ -62,6 +61,41 @@ impl RangeSieve {
             ranges.push((start, end));
         }
         RangeSieve::new(ranges)
+    }
+
+    /// The segment of an `n`-way partition that hash `h` falls in:
+    /// `min(h / ⌊u64::MAX / n⌋, n − 1)` (the last segment absorbs the
+    /// slack, `u64::MAX` included).
+    fn segment_of(h: u64, n: u64) -> u64 {
+        assert!(n > 0, "population must be positive");
+        (h / (u64::MAX / n)).min(n - 1)
+    }
+
+    /// Closed form of `RangeSieve::partition(index, n, r).contains_hash(h)`:
+    /// node `index` covers the window of `min(r, n)` segments starting at
+    /// its own, so it accepts iff `(segment − index) mod n < min(r, n)`.
+    /// Allocation-free.
+    ///
+    /// # Panics
+    /// Panics where [`RangeSieve::partition`] does.
+    #[must_use]
+    pub fn partition_contains(index: u64, n: u64, r: u32, h: u64) -> bool {
+        check_partition(index, n, r);
+        Window::new(index, n, r).contains(Self::segment_of(h, n))
+    }
+
+    /// The partition indices whose sieves accept hash `h`: the window of
+    /// `min(r, n)` indices ending at `h`'s segment.
+    /// [`Window::ascending`] lists them in the order a scan of
+    /// `partition(0..n)` would find them.
+    ///
+    /// # Panics
+    /// Panics if `n == 0` or `r == 0`.
+    #[must_use]
+    pub fn partition_owners(h: u64, n: u64, r: u32) -> Window {
+        let segment = Self::segment_of(h, n);
+        check_partition(segment, n, r);
+        Window::ending_at(segment, n, r)
     }
 
     /// The normalised ranges.
@@ -76,6 +110,13 @@ impl RangeSieve {
     pub fn contains_hash(&self, h: u64) -> bool {
         self.ranges.iter().any(|&(s, e)| h >= s && (h < e || (e == u64::MAX && h == u64::MAX)))
     }
+}
+
+/// The preconditions of an `r`-fold partition member.
+fn check_partition(index: u64, n: u64, r: u32) {
+    assert!(n > 0, "population must be positive");
+    assert!(r > 0, "replication degree must be positive");
+    assert!(index < n, "node index out of range");
 }
 
 impl Sieve for RangeSieve {

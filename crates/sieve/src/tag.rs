@@ -11,7 +11,7 @@
 //! `r` nodes — collocation — while untagged items fall back to an inner
 //! uniform sieve so the key space stays covered.
 
-use crate::{ItemMeta, Sieve, UniformSieve};
+use crate::{ItemMeta, Sieve, UniformSieve, Window};
 use dd_sim::rng::mix;
 
 /// Sieve that collocates equal-tag items on the same nodes.
@@ -42,19 +42,34 @@ impl TagSieve {
         TagSieve { slot, slots, r, fallback: UniformSieve::replication(slot, r, slots) }
     }
 
+    /// The slot a tag hashes to under a population of `slots`: the first
+    /// of its `r` consecutive owners.
+    fn home_slot(tag_hash: u64, slots: u64) -> u64 {
+        assert!(slots > 0, "slot count must be positive");
+        mix(tag_hash, 0x7A6) % slots
+    }
+
     /// The slots a tag hashes to under a `(slots, r)` population — the
-    /// *routing view* of the collocation invariant. A coordinator that
-    /// knows the population parameters can name a tag's `r` owners without
-    /// holding any sieve instance, which is what lets a tag-scoped read
-    /// contact exactly those nodes instead of fanning out.
+    /// *routing view* of the collocation invariant: the window of
+    /// `min(r, slots)` slots starting at the tag's home slot. A
+    /// coordinator that knows the population parameters can name a tag's
+    /// owners without holding any sieve instance, which is what lets a
+    /// tag-scoped read contact exactly those nodes instead of fanning out.
+    ///
+    /// # Panics
+    /// Panics if `slots == 0`.
+    #[must_use]
+    pub fn tag_window(tag_hash: u64, slots: u64, r: u32) -> Window {
+        Window::new(Self::home_slot(tag_hash, slots), slots, r)
+    }
+
+    /// [`TagSieve::tag_window`] collected in ring order (home slot first).
     ///
     /// # Panics
     /// Panics if `slots == 0`.
     #[must_use]
     pub fn tag_slots(tag_hash: u64, slots: u64, r: u32) -> Vec<u64> {
-        assert!(slots > 0, "slot count must be positive");
-        let home = mix(tag_hash, 0x7A6) % slots;
-        (0..u64::from(r).min(slots)).map(|k| (home + k) % slots).collect()
+        Self::tag_window(tag_hash, slots, r).ring_order().collect()
     }
 
     /// The slots a tag hashes to (its `r` consecutive owners).
@@ -63,10 +78,11 @@ impl TagSieve {
         Self::tag_slots(tag_hash, self.slots, self.r)
     }
 
-    /// Whether this node owns `tag_hash`.
+    /// Whether this node owns `tag_hash`:
+    /// `(slot − home) mod slots < min(r, slots)`. Allocation-free.
     #[must_use]
     pub fn owns_tag(&self, tag_hash: u64) -> bool {
-        self.slots_for_tag(tag_hash).contains(&self.slot)
+        Self::tag_window(tag_hash, self.slots, self.r).contains(self.slot)
     }
 }
 
@@ -160,6 +176,25 @@ mod tests {
         for tag in 0..200u64 {
             let s = TagSieve::new(3, 17, 4);
             assert_eq!(s.slots_for_tag(tag), TagSieve::tag_slots(tag, 17, 4));
+        }
+    }
+
+    #[test]
+    fn closed_forms_match_successor_slots() {
+        for slots in [1u64, 2, 3, 7, 16] {
+            for r in [1u32, 2, 3, 5, 20] {
+                for tag in 0..100u64 {
+                    // The successor list spelled out: home, home+1, … (mod slots).
+                    let home = mix(tag, 0x7A6) % slots;
+                    let routed: Vec<u64> =
+                        (0..u64::from(r).min(slots)).map(|k| (home + k) % slots).collect();
+                    assert_eq!(TagSieve::tag_slots(tag, slots, r), routed);
+                    for slot in 0..slots {
+                        let owns = TagSieve::new(slot, slots, r).owns_tag(tag);
+                        assert_eq!(owns, routed.contains(&slot), "slots {slots} r {r} tag {tag}");
+                    }
+                }
+            }
         }
     }
 
