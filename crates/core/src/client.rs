@@ -9,6 +9,17 @@
 //! `Result<T, OpError>` — timeouts, partial batches and a dead entry tier
 //! are errors, distinct from an ordinary "key absent" read.
 //!
+//! A harvest costs O(ops that completed or expired), not O(outstanding ×
+//! soft nodes). A soft node posts a notice when it inserts a completion
+//! record; the cluster moves the notices into its completion index
+//! (`(session, req) → holder`), so a session finds its ready ops without
+//! looking at the rest and fetches each record from the one node holding
+//! it. There is one record per request, and every insert posts a notice,
+//! so before [`OP_TIMEOUT`] "a record exists" and "the indexed holder has
+//! it" agree. Past it, the op falls back to probing every soft node and
+//! then times out — a harvest still wins over a timeout, and a record the
+//! retention cap evicted surfaces as [`OpError::Timeout`].
+//!
 //! ```
 //! use dd_core::{Cluster, ClusterConfig};
 //!
@@ -33,9 +44,11 @@ use bytes::Bytes;
 use dd_audit::{OpDesc, OpFailure, Outcome};
 use dd_sim::{NodeId, Time, TraceCtx};
 use rand::rngs::SmallRng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::marker::PhantomData;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 /// Virtual ticks an operation may stay outstanding before the session
 /// reports [`OpError::Timeout`] (the old lock-step wait window, kept so a
@@ -167,13 +180,13 @@ pub enum Kind {
 /// is set, the completion's history projection is extracted from the raw
 /// record *before* `finish` consumes it (a partially ordered batch still
 /// audits its per-item versions).
-fn harvest<K: OpKind>(
+fn harvest<K: OpKind, R>(
     soft: &mut SoftNode,
     req: u64,
     want: usize,
     audit: bool,
-    wrap: fn(Result<K::Output, OpError>) -> Completion,
-) -> Option<(Completion, Option<Outcome>)> {
+    wrap: fn(Result<K::Output, OpError>) -> R,
+) -> Option<(R, Option<Outcome>)> {
     K::take(soft, req).map(|raw| {
         let outcome = audit.then(|| K::audit(&raw, want));
         (wrap(K::finish(raw, want)), outcome)
@@ -190,18 +203,18 @@ impl Kind {
         audit: bool,
     ) -> Option<(Completion, Option<Outcome>)> {
         match self {
-            Kind::Put => harvest::<ops::Put>(soft, req, want, audit, Completion::Put),
-            Kind::Delete => harvest::<ops::Delete>(soft, req, want, audit, Completion::Delete),
-            Kind::Get => harvest::<ops::Get>(soft, req, want, audit, Completion::Get),
-            Kind::Scan => harvest::<ops::Scan>(soft, req, want, audit, Completion::Scan),
+            Kind::Put => harvest::<ops::Put, _>(soft, req, want, audit, Completion::Put),
+            Kind::Delete => harvest::<ops::Delete, _>(soft, req, want, audit, Completion::Delete),
+            Kind::Get => harvest::<ops::Get, _>(soft, req, want, audit, Completion::Get),
+            Kind::Scan => harvest::<ops::Scan, _>(soft, req, want, audit, Completion::Scan),
             Kind::Aggregate => {
-                harvest::<ops::Aggregate>(soft, req, want, audit, Completion::Aggregate)
+                harvest::<ops::Aggregate, _>(soft, req, want, audit, Completion::Aggregate)
             }
             Kind::MultiPut => {
-                harvest::<ops::MultiPut>(soft, req, want, audit, Completion::MultiPut)
+                harvest::<ops::MultiPut, _>(soft, req, want, audit, Completion::MultiPut)
             }
             Kind::MultiGet => {
-                harvest::<ops::MultiGet>(soft, req, want, audit, Completion::MultiGet)
+                harvest::<ops::MultiGet, _>(soft, req, want, audit, Completion::MultiGet)
             }
         }
     }
@@ -413,6 +426,80 @@ struct Outstanding {
     stillborn: bool,
 }
 
+/// Whether an op issued at `issued` is past [`OP_TIMEOUT`] at `now`.
+fn past_timeout(issued: Time, now: Time) -> bool {
+    now.since(issued).0 >= OP_TIMEOUT
+}
+
+/// The cluster's completion index: where each session's ready operations
+/// are. Soft nodes post a notice per new completion record and ring
+/// `bell`; [`Cluster::collect_completions`] routes the notices here
+/// through `owners`. Entries leave on harvest, and once their operation
+/// is past [`OP_TIMEOUT`] (such an op probes every soft node anyway), so
+/// the index stays bounded for abandoned sessions as the soft logs do.
+#[derive(Debug, Default)]
+pub(crate) struct CompletionIndex {
+    /// Shared with every soft node; set when one posts a notice. Only
+    /// ever touched through `&mut Cluster`, on one thread, so `Relaxed`
+    /// suffices: it is atomic so that soft nodes stay `Send`.
+    pub(crate) bell: Arc<AtomicBool>,
+    /// Outstanding operations not yet past [`OP_TIMEOUT`]: req →
+    /// (session, issued). Request ids and issue times grow together, so
+    /// the expired entries are always a prefix.
+    owners: BTreeMap<u64, (u64, Time)>,
+    /// Ready operations: (session, req) → the soft node holding the
+    /// record (`None` for a stillborn op: nothing to fetch).
+    ready: BTreeMap<(u64, u64), Option<NodeId>>,
+}
+
+impl CompletionIndex {
+    fn submitted(&mut self, session: u64, req: u64, issued: Time, stillborn: bool) {
+        self.owners.insert(req, (session, issued));
+        if stillborn {
+            self.ready.insert((session, req), None);
+        }
+    }
+
+    /// `holder` inserted the completion record of `req`. Notices for
+    /// requests no longer indexed (harvested or expired) are dropped.
+    pub(crate) fn notice(&mut self, req: u64, holder: NodeId) {
+        if let Some(&(session, _)) = self.owners.get(&req) {
+            self.ready.insert((session, req), Some(holder));
+        }
+    }
+
+    /// Drops the entries of every operation past [`OP_TIMEOUT`].
+    pub(crate) fn prune(&mut self, now: Time) {
+        while let Some(entry) = self.owners.first_entry() {
+            let (session, issued) = *entry.get();
+            if !past_timeout(issued, now) {
+                break;
+            }
+            self.ready.remove(&(session, entry.remove_entry().0));
+        }
+    }
+
+    fn retire(&mut self, session: u64, req: u64) {
+        self.owners.remove(&req);
+        self.ready.remove(&(session, req));
+    }
+
+    fn holder(&self, session: u64, req: u64) -> Option<NodeId> {
+        self.ready.get(&(session, req)).copied().flatten()
+    }
+
+    /// `session`'s ready requests, ascending.
+    fn ready_reqs(&self, session: u64) -> impl Iterator<Item = u64> + '_ {
+        self.ready.range((session, 0)..=(session, u64::MAX)).map(|(&(_, req), _)| req)
+    }
+
+    /// Indexed entries (outstanding plus ready) — the bound tests check.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.owners.len() + self.ready.len()
+    }
+}
+
 /// A client session against one [`Cluster`].
 ///
 /// Obtained from [`Cluster::client`]; each session owns a private RNG
@@ -441,12 +528,13 @@ struct Outstanding {
 pub struct Client {
     session: u64,
     rng: SmallRng,
-    outstanding: HashMap<u64, Outstanding>,
+    /// Submitted and not yet harvested, in request order.
+    outstanding: BTreeMap<u64, Outstanding>,
 }
 
 impl Client {
     pub(crate) fn new(session: u64, rng: SmallRng) -> Self {
-        Client { session, rng, outstanding: HashMap::new() }
+        Client { session, rng, outstanding: BTreeMap::new() }
     }
 
     /// This session's id (unique per cluster).
@@ -470,6 +558,7 @@ impl Client {
     ) -> u64 {
         let req = cluster.fresh_req();
         let issued = cluster.sim.now();
+        cluster.collect_completions();
         let stillborn = match cluster.entry_for(&mut self.rng) {
             Some(entry) => {
                 // Traced runs open the op's root span (always id 0) at the
@@ -483,6 +572,7 @@ impl Client {
             }
             None => true,
         };
+        cluster.completions.submitted(self.session, req, issued, stillborn);
         self.outstanding.insert(req, Outstanding { kind, issued, want, stillborn });
         req
     }
@@ -628,41 +718,30 @@ impl Client {
     /// was already delivered — e.g. by an earlier poll or a [`Client::drain`]
     /// sweep — or that belongs to another session yields
     /// `Some(Err(OpError::AlreadyHarvested))`.
+    ///
+    /// Shares [`Client::drain`]'s harvest: before [`OP_TIMEOUT`] it probes
+    /// only the soft node the completion index names (none while the op
+    /// is still in flight), so a [`Client::recv`] loop costs one lookup
+    /// per quantum.
     pub fn poll<K: OpKind>(
         &mut self,
         cluster: &mut Cluster,
         pending: &Pending<K>,
     ) -> Option<Result<K::Output, OpError>> {
-        let Some(&o) = self.outstanding.get(&pending.req) else {
+        let req = pending.req;
+        let Some(&o) = self.outstanding.get(&req) else {
             return Some(Err(OpError::AlreadyHarvested));
         };
         debug_assert_eq!(o.kind, K::KIND, "Pending kind mismatch");
-        if o.stillborn {
-            self.retire(cluster, pending.req, None);
-            cluster.record_failure(pending.req, OpFailure::NoLiveEntry);
-            return Some(Err(OpError::NoLiveEntry));
-        }
+        cluster.collect_completions();
         let audit = cluster.audit_enabled();
-        for id in cluster.soft_ids().to_vec() {
-            if let Some(soft) = cluster.sim.node_mut(id).and_then(DropletNode::as_soft_mut) {
-                if let Some(raw) = K::take(soft, pending.req) {
-                    let outcome = audit.then(|| K::audit(&raw, o.want));
-                    self.retire(cluster, pending.req, Some(o.issued));
-                    if let Some(outcome) = outcome {
-                        cluster.record_outcome(pending.req, outcome);
-                    }
-                    return Some(K::finish(raw, o.want));
-                }
-            }
-        }
-        if cluster.sim.now().since(o.issued).0 >= OP_TIMEOUT {
-            let waiting_on = cluster.blame_for(pending.req);
-            self.retire(cluster, pending.req, None);
-            cluster.sim.metrics_mut().incr("client.timeouts");
-            cluster.record_failure(pending.req, OpFailure::Timeout);
-            return Some(Err(OpError::Timeout { waiting_on }));
-        }
-        None
+        self.resolve(
+            cluster,
+            req,
+            o,
+            |soft| harvest::<K, _>(soft, req, o.want, audit, std::convert::identity),
+            Err,
+        )
     }
 
     /// Drives virtual time until `pending` completes and returns its
@@ -685,47 +764,83 @@ impl Client {
     /// Harvests every completed (or expired) operation of this session,
     /// in request order: the batch companion to [`Client::poll`] for
     /// pipelined loops that don't track individual handles.
+    ///
+    /// Touches only this session's ready ops (from the completion index)
+    /// and its ops past [`OP_TIMEOUT`], never the ones still in flight.
     pub fn drain(&mut self, cluster: &mut Cluster) -> Vec<(u64, Completion)> {
+        cluster.collect_completions();
         let now = cluster.sim.now();
-        let ids = cluster.soft_ids().to_vec();
+        let mut due: Vec<u64> = cluster.completions.ready_reqs(self.session).collect();
+        // Issue times grow with request ids: the expired ops are a prefix.
+        due.extend(
+            self.outstanding
+                .iter()
+                .take_while(|(_, o)| past_timeout(o.issued, now))
+                .map(|(&req, _)| req),
+        );
+        due.sort_unstable();
+        due.dedup();
         let audit = cluster.audit_enabled();
-        let mut reqs: Vec<u64> = self.outstanding.keys().copied().collect();
-        reqs.sort_unstable();
         let mut done = Vec::new();
-        for req in reqs {
-            let o = self.outstanding[&req];
-            if o.stillborn {
-                self.retire(cluster, req, None);
-                cluster.record_failure(req, OpFailure::NoLiveEntry);
-                done.push((req, o.kind.failed(OpError::NoLiveEntry)));
-                continue;
-            }
-            let harvested = ids.iter().find_map(|&id| {
-                cluster
-                    .sim
-                    .node_mut(id)
-                    .and_then(DropletNode::as_soft_mut)
-                    .and_then(|soft| o.kind.take(soft, req, o.want, audit))
-            });
-            if let Some((completion, outcome)) = harvested {
-                self.retire(cluster, req, Some(o.issued));
-                if let Some(outcome) = outcome {
-                    cluster.record_outcome(req, outcome);
-                }
-                done.push((req, completion));
-            } else if now.since(o.issued).0 >= OP_TIMEOUT {
-                let waiting_on = cluster.blame_for(req);
-                self.retire(cluster, req, None);
-                cluster.sim.metrics_mut().incr("client.timeouts");
-                cluster.record_failure(req, OpFailure::Timeout);
-                done.push((req, o.kind.failed(OpError::Timeout { waiting_on })));
+        for req in due {
+            let Some(&o) = self.outstanding.get(&req) else { continue };
+            let take = |soft: &mut SoftNode| o.kind.take(soft, req, o.want, audit);
+            if let Some(c) = self.resolve(cluster, req, o, take, |e| o.kind.failed(e)) {
+                done.push((req, c));
             }
         }
         done
     }
 
+    /// The one harvest routine behind [`Client::poll`] and
+    /// [`Client::drain`]: completes a stillborn op as `NoLiveEntry`, takes
+    /// the record from the indexed holder (from any soft node once past
+    /// [`OP_TIMEOUT`]), or times the op out; `None` while still in flight.
+    fn resolve<R>(
+        &mut self,
+        cluster: &mut Cluster,
+        req: u64,
+        o: Outstanding,
+        take: impl Fn(&mut SoftNode) -> Option<(R, Option<Outcome>)>,
+        failed: impl FnOnce(OpError) -> R,
+    ) -> Option<R> {
+        if o.stillborn {
+            self.retire(cluster, req, None);
+            cluster.record_failure(req, OpFailure::NoLiveEntry);
+            return Some(failed(OpError::NoLiveEntry));
+        }
+        let expired = past_timeout(o.issued, cluster.sim.now());
+        let probe = |cluster: &mut Cluster, id: NodeId| {
+            cluster.sim.node_mut(id).and_then(DropletNode::as_soft_mut).and_then(&take)
+        };
+        let harvested = if expired {
+            (0..cluster.soft_ids().len()).find_map(|i| {
+                let id = cluster.soft_ids()[i];
+                probe(cluster, id)
+            })
+        } else {
+            cluster.completions.holder(self.session, req).and_then(|id| probe(cluster, id))
+        };
+        if let Some((result, outcome)) = harvested {
+            self.retire(cluster, req, Some(o.issued));
+            if let Some(outcome) = outcome {
+                cluster.record_outcome(req, outcome);
+            }
+            return Some(result);
+        }
+        if !expired {
+            return None;
+        }
+        let waiting_on = cluster.blame_for(req);
+        self.retire(cluster, req, None);
+        cluster.sim.metrics_mut().incr("client.timeouts");
+        cluster.record_failure(req, OpFailure::Timeout);
+        Some(failed(OpError::Timeout { waiting_on }))
+    }
+
     fn retire(&mut self, cluster: &mut Cluster, req: u64, harvested_issue: Option<Time>) {
         self.outstanding.remove(&req);
+        cluster.completions.retire(self.session, req);
         // Close the op's root span (harvest = answered, timeout = not; a
         // stillborn op has no trace and the close is ignored).
         let now = cluster.sim.now();

@@ -11,7 +11,7 @@
 //! experiments hold thousands of operations in flight and interleave
 //! churn with traffic.
 
-use crate::client::Client;
+use crate::client::{Client, CompletionIndex};
 use crate::msg::DropletMsg;
 use crate::persist::PersistNode;
 use crate::sieve_spec::PlacementView;
@@ -23,6 +23,7 @@ use dd_sim::rng::mix;
 use dd_sim::{Ctx, Duration, NodeId, Process, Sim, SimConfig, TimerTag};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Result of a completed write.
@@ -208,14 +209,17 @@ impl ClusterConfig {
 }
 
 /// One simulated node: either a soft-layer or a persist-layer role.
-// Soft nodes carry coordinator state and are much larger than persist
-// nodes; the simulator stores nodes in one flat map, so the padding is a
-// deliberate trade against boxing every soft-node access.
+///
+/// Soft nodes carry coordinator state and are several times larger than
+/// persist nodes, and persist nodes are the many: the soft role is boxed so
+/// a slot costs what a persist node needs.
+// The lint would box the persist role too: one more allocation and
+// pointer hop for every node of the large tier, to save nothing.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum DropletNode {
     /// Soft-state layer member.
-    Soft(SoftNode),
+    Soft(Box<SoftNode>),
     /// Persistent-state layer member.
     Persist(PersistNode),
 }
@@ -225,7 +229,7 @@ impl DropletNode {
     #[must_use]
     pub fn as_soft(&self) -> Option<&SoftNode> {
         match self {
-            DropletNode::Soft(s) => Some(s),
+            DropletNode::Soft(s) => Some(&**s),
             DropletNode::Persist(_) => None,
         }
     }
@@ -234,7 +238,7 @@ impl DropletNode {
     #[must_use]
     pub fn as_soft_mut(&mut self) -> Option<&mut SoftNode> {
         match self {
-            DropletNode::Soft(s) => Some(s),
+            DropletNode::Soft(s) => Some(&mut **s),
             DropletNode::Persist(_) => None,
         }
     }
@@ -418,6 +422,10 @@ pub struct Cluster {
     /// History recorder; `None` (the default) makes every capture hook a
     /// no-op, so auditing is zero-cost when disabled.
     pub(crate) audit: Option<Box<dd_audit::Recorder>>,
+    /// Which soft node holds each completed operation's record, per
+    /// session; filled from the soft nodes' notices by
+    /// [`Cluster::collect_completions`].
+    pub(crate) completions: CompletionIndex,
 }
 
 impl Cluster {
@@ -442,6 +450,7 @@ impl Cluster {
         // detector's live-set estimate instead of the boot-time
         // `persist_n`, merged from per-peer vectors drawn once here.
         let extrema = config.fanout.is_none().then(|| Arc::new(ExtremaTable::new(&persist_ids)));
+        let completions = CompletionIndex::default();
         // Pre-size the event heap for the population's steady chatter
         // (start events, repair timers, dissemination bursts) so large
         // clusters don't regrow it through the opening storm.
@@ -455,7 +464,8 @@ impl Cluster {
             if let Some(table) = &extrema {
                 soft = soft.with_adaptive_fanout(Arc::clone(table));
             }
-            sim.add_node(id, DropletNode::Soft(soft));
+            soft = soft.with_completion_bell(Arc::clone(&completions.bell));
+            sim.add_node(id, DropletNode::Soft(Box::new(soft)));
         }
         for (i, &id) in persist_ids.iter().enumerate() {
             let peers: Vec<NodeId> = persist_ids.iter().copied().filter(|&p| p != id).collect();
@@ -484,6 +494,7 @@ impl Cluster {
             fd_view: std::collections::HashMap::new(),
             fd_epochs: None,
             audit: None,
+            completions,
         }
     }
 
@@ -777,6 +788,26 @@ impl Cluster {
         Client::new(self.next_session, rng)
     }
 
+    /// Moves the soft nodes' completion notices into the completion index
+    /// and drops the index entries of operations past
+    /// [`OP_TIMEOUT`](crate::client::OP_TIMEOUT). The soft tier is walked
+    /// only when a notice was posted since the last collection (the bell
+    /// rang), so however many sessions harvest, the walk happens once per
+    /// change in simulator state. Called at every harvest and submission,
+    /// which also bounds the notice lists.
+    pub(crate) fn collect_completions(&mut self) {
+        if self.completions.bell.swap(false, Ordering::Relaxed) {
+            for &id in &self.soft_ids {
+                if let Some(soft) = self.sim.node_mut(id).and_then(DropletNode::as_soft_mut) {
+                    for req in soft.drain_notices() {
+                        self.completions.notice(req, id);
+                    }
+                }
+            }
+        }
+        self.completions.prune(self.sim.now());
+    }
+
     pub(crate) fn fresh_req(&mut self) -> u64 {
         self.next_req += 1;
         self.next_req
@@ -864,7 +895,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{Completion, OpError};
+    use crate::client::{Completion, OpError, OP_TIMEOUT};
     use crate::tuple::TupleSpec;
 
     fn cluster(seed: u64) -> Cluster {
@@ -1245,6 +1276,96 @@ mod tests {
         let mut fresh = c.client();
         let w = fresh.put(&mut c, "alive", b"y".to_vec(), None, None);
         assert!(fresh.recv(&mut c, w).is_ok());
+        // The completion index holds the abandoned ops only until they
+        // pass OP_TIMEOUT; the next client call prunes them.
+        assert!(c.completions.len() > 0, "abandoned ops still indexed before their timeout");
+        c.run_for(OP_TIMEOUT);
+        let w = fresh.put(&mut c, "alive", b"z".to_vec(), None, None);
+        assert!(fresh.recv(&mut c, w).is_ok());
+        assert_eq!(c.completions.len(), 0, "expired abandoned ops left the index");
+    }
+
+    #[test]
+    fn a_node_slot_costs_at_most_a_persist_node_plus_a_word() {
+        use std::mem::size_of;
+        let (slot, persist) = (size_of::<DropletNode>(), size_of::<PersistNode>());
+        assert!(slot <= persist + size_of::<usize>(), "slot {slot} B vs persist node {persist} B");
+    }
+
+    #[test]
+    fn a_late_harvest_still_receives_a_retained_completion() {
+        let mut c = cluster(21);
+        let mut s = c.client();
+        let w = s.put(&mut c, "late", b"v".to_vec(), None, None);
+        let r = s.get(&mut c, "never-written");
+        c.run_for(OP_TIMEOUT + 500);
+        let done = s.drain(&mut c);
+        assert_eq!(done.len(), 2, "both ops resolve: {done:?}");
+        assert_eq!((done[0].0, done[1].0), (w.req(), r.req()));
+        assert!(matches!(done[0].1, Completion::Put(Ok(_))), "harvest beats timeout: {done:?}");
+        assert!(matches!(done[1].1, Completion::Get(Ok(None))), "harvest beats timeout: {done:?}");
+        // The same through poll.
+        let w = s.put(&mut c, "late", b"w".to_vec(), None, None);
+        c.run_for(OP_TIMEOUT + 500);
+        assert!(matches!(s.poll(&mut c, &w), Some(Ok(p)) if p.version == Version(2)));
+    }
+
+    #[test]
+    fn a_completion_evicted_by_retention_surfaces_as_timeout() {
+        use crate::soft::COMPLETION_RETENTION;
+        let mut config = ClusterConfig::small();
+        config.soft_n = 1;
+        let mut c = Cluster::new(config, 22);
+        c.settle();
+        let mut victim = c.client();
+        let w = victim.put(&mut c, "victim", b"v".to_vec(), None, None);
+        c.pump(200);
+        // An abandoned session's completions push the victim's record
+        // out of the capped log before the victim harvests it.
+        let mut abandoned = c.client();
+        for i in 0..COMPLETION_RETENTION as u64 {
+            let _ = abandoned.put(&mut c, format!("flood:{i}"), vec![], None, None);
+            if i % 64 == 0 {
+                c.pump(200);
+            }
+        }
+        c.pump(1_000);
+        let soft = c.sim.node(c.soft_ids()[0]).and_then(DropletNode::as_soft).unwrap();
+        assert!(soft.completions_retired() > 0, "the cap retired records");
+        assert!(victim.drain(&mut c).is_empty(), "nothing to harvest before the timeout");
+        c.run_for(OP_TIMEOUT);
+        let done = victim.drain(&mut c);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].0, w.req());
+        assert!(
+            matches!(done[0].1, Completion::Put(Err(OpError::Timeout { .. }))),
+            "evicted record = timeout: {done:?}"
+        );
+    }
+
+    #[test]
+    fn poll_after_drain_is_already_harvested_and_unindexed() {
+        let mut c = cluster(23);
+        let mut s = c.client();
+        let w = s.put(&mut c, "once", b"v".to_vec(), None, None);
+        let mut done = Vec::new();
+        while done.is_empty() {
+            c.pump(5);
+            done = s.drain(&mut c);
+        }
+        assert_eq!(done[0].0, w.req());
+        assert_eq!(s.poll(&mut c, &w), Some(Err(OpError::AlreadyHarvested)));
+        assert_eq!(c.completions.len(), 0, "no index entry remains for a harvested op");
+    }
+
+    #[test]
+    fn harvest_sees_completions_of_a_directly_driven_simulator() {
+        let mut c = cluster(24);
+        let mut s = c.client();
+        let w = s.put(&mut c, "direct", b"v".to_vec(), None, None);
+        // Bypass Cluster::pump: the index is collected at harvest time.
+        c.sim.run_for(Duration(200));
+        assert!(matches!(s.poll(&mut c, &w), Some(Ok(_))));
     }
 
     /// Writes `batches` social-feed batches of `batch` posts each over

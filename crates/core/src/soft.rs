@@ -11,6 +11,7 @@ use dd_sim::rng::stream_rng;
 use dd_sim::{Ctx, Duration, NodeId, Time, TimerTag, TraceCtx};
 use rand::seq::SliceRandom;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Timer tag for the multi-op deadline sweep.
@@ -74,6 +75,27 @@ impl ExtremaTable {
 /// cannot grow node state without bound.
 pub const COMPLETION_RETENTION: usize = 512;
 
+/// Requests whose completion record a soft node inserted since the
+/// cluster last collected them: one notice per new record, across all six
+/// completion logs. The cluster moves notices into its completion index
+/// (`(session, req) → holder`), so a client probes only the node that
+/// holds its record. `bell`, shared by a cluster's soft nodes and the cluster, is
+/// set on every post: the cluster walks the soft tier only after one.
+#[derive(Debug, Clone, Default)]
+struct Notices {
+    reqs: Vec<u64>,
+    bell: Option<Arc<AtomicBool>>,
+}
+
+impl Notices {
+    fn post(&mut self, req: u64) {
+        self.reqs.push(req);
+        if let Some(bell) = &self.bell {
+            bell.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
 /// Bounded completion store: a map plus insertion-order retirement.
 ///
 /// Request ids are allocated monotonically and a record is written exactly
@@ -96,11 +118,13 @@ impl<T> CompletionLog<T> {
         CompletionLog { cap, map: HashMap::new(), order: VecDeque::new(), retired: 0 }
     }
 
-    /// Records a completion; returns the record retired to stay within the
-    /// cap, if any, so the caller can release auxiliary state.
-    fn insert(&mut self, req: u64, v: T) -> Option<(u64, T)> {
+    /// Records a completion, posting a notice when the record is new;
+    /// returns the record retired to stay within the cap, if any, so the
+    /// caller can release auxiliary state.
+    fn insert(&mut self, req: u64, v: T, notices: &mut Notices) -> Option<(u64, T)> {
         if self.map.insert(req, v).is_none() {
             self.order.push_back(req);
+            notices.post(req);
         }
         if self.map.len() <= self.cap {
             return None;
@@ -312,6 +336,8 @@ pub struct SoftNode {
     /// retiring completion records — the unbounded-completion-log bug
     /// shape — so [`SoftNode::completion_backlog`] grows monotonically.
     leak_completions: bool,
+    /// New completion records not yet collected by the cluster.
+    notices: Notices,
 }
 
 impl SoftNode {
@@ -361,6 +387,7 @@ impl SoftNode {
             undelivered: HashMap::new(),
             undelivered_order: VecDeque::new(),
             leak_completions: false,
+            notices: Notices::default(),
         }
     }
 
@@ -379,6 +406,14 @@ impl SoftNode {
             "one sieve per persist peer"
         );
         self.placement = Some(placement);
+        self
+    }
+
+    /// Builder: sets `bell` whenever this node posts a completion notice
+    /// (see [`SoftNode::drain_notices`]).
+    #[must_use]
+    pub(crate) fn with_completion_bell(mut self, bell: Arc<AtomicBool>) -> Self {
+        self.notices.bell = Some(bell);
         self
     }
 
@@ -486,6 +521,15 @@ impl SoftNode {
             return self.completed_multi_gets.peek(req);
         }
         self.completed_multi_gets.take(req)
+    }
+
+    /// Removes and yields the requests whose completion record was
+    /// inserted since the last call, in insertion order. The cluster calls
+    /// this whenever the completion bell rang and the client plane
+    /// harvests or submits, so the list holds at most the completions of
+    /// one stretch of simulation between client calls.
+    pub(crate) fn drain_notices(&mut self) -> std::vec::Drain<'_, u64> {
+        self.notices.reqs.drain(..)
     }
 
     /// Completion records currently retained across all op kinds. Bounded
@@ -717,9 +761,11 @@ impl SoftNode {
     ) {
         let (key_hash, version) = self.order_and_disseminate(ctx, item, delete, trace);
         self.put_index.insert((key_hash, version), req);
-        if let Some((_, (old, kh))) =
-            self.completed_puts.insert(req, (PutStatus { version, acks: 0 }, key_hash))
-        {
+        if let Some((_, (old, kh))) = self.completed_puts.insert(
+            req,
+            (PutStatus { version, acks: 0 }, key_hash),
+            &mut self.notices,
+        ) {
             // Retired to stay within the cap: drop its ack routing too.
             self.put_index.remove(&(kh, old.version));
         }
@@ -733,8 +779,11 @@ impl SoftNode {
             ctx.metrics().incr("soft.multi_put_partials");
         }
         self.trace_finish_op(ctx, req, p.versions.len() >= p.want);
-        self.completed_multi_puts
-            .insert(req, MultiPutStatus { items: p.versions.len(), versions: p.versions });
+        self.completed_multi_puts.insert(
+            req,
+            MultiPutStatus { items: p.versions.len(), versions: p.versions },
+            &mut self.notices,
+        );
     }
 
     /// Completes a tag-scoped read; `full` is false when any contacted
@@ -745,7 +794,11 @@ impl SoftNode {
             ctx.metrics().incr("soft.multi_get_partials");
         }
         self.trace_finish_op(ctx, req, p.full);
-        self.completed_multi_gets.insert(req, (Self::finalize_gather(p.items), p.full));
+        self.completed_multi_gets.insert(
+            req,
+            (Self::finalize_gather(p.items), p.full),
+            &mut self.notices,
+        );
     }
 
     /// Records one ordered item of a pending multi-put (acked by `from`);
@@ -1070,7 +1123,7 @@ impl SoftNode {
         ctx.metrics().incr("soft.reads");
         if latest == Version::ZERO {
             // Key never written through this (healthy) soft layer.
-            self.completed_gets.insert(req, None);
+            self.completed_gets.insert(req, None, &mut self.notices);
             self.trace_finish_op(ctx, req, true);
             return;
         }
@@ -1078,7 +1131,7 @@ impl SoftNode {
         // use of quorums at the persistent-state layer is not necessary."
         if let Some(t) = self.cache.get(key_hash, latest) {
             ctx.metrics().incr("soft.cache_hits");
-            self.completed_gets.insert(req, (!t.deleted).then_some(t));
+            self.completed_gets.insert(req, (!t.deleted).then_some(t), &mut self.notices);
             self.trace_finish_op(ctx, req, true);
             return;
         }
@@ -1093,7 +1146,7 @@ impl SoftNode {
             ctx.metrics().incr("soft.fallback_fetches");
         }
         if targets.is_empty() {
-            self.completed_gets.insert(req, None);
+            self.completed_gets.insert(req, None, &mut self.notices);
             self.trace_finish_op(ctx, req, true);
             return;
         }
@@ -1144,7 +1197,7 @@ impl SoftNode {
                 let targets = self.persist_peers.clone();
                 self.trace_coord(ctx, req, trace, "soft.scan");
                 if targets.is_empty() {
-                    self.completed_scans.insert(req, Vec::new());
+                    self.completed_scans.insert(req, Vec::new(), &mut self.notices);
                     self.trace_finish_op(ctx, req, true);
                     return;
                 }
@@ -1160,7 +1213,11 @@ impl SoftNode {
                 ctx.metrics().observe("multi_put.batch", items.len() as f64);
                 self.trace_coord(ctx, req, trace, "soft.multi_put");
                 if items.is_empty() {
-                    self.completed_multi_puts.insert(req, MultiPutStatus::default());
+                    self.completed_multi_puts.insert(
+                        req,
+                        MultiPutStatus::default(),
+                        &mut self.notices,
+                    );
                     self.trace_finish_op(ctx, req, true);
                     return;
                 }
@@ -1267,6 +1324,7 @@ impl SoftNode {
                     self.completed_aggs.insert(
                         req,
                         (dd_estimation::DistSketch::new(16), f64::INFINITY, f64::NEG_INFINITY),
+                        &mut self.notices,
                     );
                     self.trace_finish_op(ctx, req, true);
                     return;
@@ -1304,7 +1362,11 @@ impl SoftNode {
                         self.pending_gets.remove(&req);
                         self.metadata.add_holder(t.key_hash, t.version, from);
                         self.cache.put(t.key_hash, t.version, t.clone());
-                        self.completed_gets.insert(req, (!t.deleted).then_some(t));
+                        self.completed_gets.insert(
+                            req,
+                            (!t.deleted).then_some(t),
+                            &mut self.notices,
+                        );
                         self.trace_finish_op(ctx, req, true);
                     }
                     None => {
@@ -1318,7 +1380,7 @@ impl SoftNode {
                             .is_some_and(|p| p.waiting.is_empty() && p.unreached.is_empty())
                         {
                             self.pending_gets.remove(&req);
-                            self.completed_gets.insert(req, None);
+                            self.completed_gets.insert(req, None, &mut self.notices);
                             self.trace_finish_op(ctx, req, true);
                         }
                     }
@@ -1345,7 +1407,11 @@ impl SoftNode {
                 self.trace_reply(ctx, req, from);
                 if done {
                     let p = self.pending_scans.remove(&req).expect("present");
-                    self.completed_scans.insert(req, Self::finalize_gather(p.items));
+                    self.completed_scans.insert(
+                        req,
+                        Self::finalize_gather(p.items),
+                        &mut self.notices,
+                    );
                     self.trace_finish_op(ctx, req, true);
                 }
             }
@@ -1359,7 +1425,7 @@ impl SoftNode {
                 self.trace_reply(ctx, req, from);
                 if done {
                     let p = self.pending_aggs.remove(&req).expect("present");
-                    self.completed_aggs.insert(req, (p.sketch, p.min, p.max));
+                    self.completed_aggs.insert(req, (p.sketch, p.min, p.max), &mut self.notices);
                     self.trace_finish_op(ctx, req, true);
                 }
             }
@@ -1561,8 +1627,9 @@ mod tests {
     #[test]
     fn completion_log_retires_oldest_beyond_cap() {
         let mut log = CompletionLog::new(4);
+        let mut notices = Notices::default();
         for req in 1..=10u64 {
-            let evicted = log.insert(req, req * 10);
+            let evicted = log.insert(req, req * 10, &mut notices);
             if req > 4 {
                 assert_eq!(evicted, Some((req - 4, (req - 4) * 10)), "oldest entry retires");
             } else {
@@ -1573,13 +1640,29 @@ mod tests {
         assert_eq!(log.take(9), Some(90));
         assert_eq!(log.take(9), None, "harvest retires the record");
         assert_eq!(log.take(1), None, "pre-cap entries were retired");
+        assert_eq!(notices.reqs, (1..=10).collect::<Vec<_>>(), "one notice per new record");
+    }
+
+    #[test]
+    fn completion_notice_posts_once_per_record_and_rings_the_bell() {
+        let bell = Arc::new(AtomicBool::new(false));
+        let mut n = SoftNode::new(&[NodeId(0)], vec![], 4, 16).with_completion_bell(bell.clone());
+        n.completed_gets.insert(7, None, &mut n.notices);
+        assert!(bell.load(Ordering::Relaxed), "a new record rings the bell");
+        bell.store(false, Ordering::Relaxed);
+        n.completed_gets.insert(7, None, &mut n.notices);
+        assert!(!bell.load(Ordering::Relaxed), "an in-place update posts nothing");
+        n.completed_scans.insert(8, Vec::new(), &mut n.notices);
+        assert_eq!(n.drain_notices().collect::<Vec<_>>(), vec![7, 8], "one list for every log");
+        assert_eq!(n.drain_notices().count(), 0, "collected notices are gone");
     }
 
     #[test]
     fn completion_log_order_queue_stays_compact_under_harvest() {
         let mut log = CompletionLog::new(64);
+        let mut notices = Notices::default();
         for req in 0..10_000u64 {
-            log.insert(req, req);
+            log.insert(req, req, &mut notices);
             assert_eq!(log.take(req), Some(req));
             assert!(log.order.len() <= 2 * log.map.len() + 17, "lazy compaction bounds the queue");
         }
